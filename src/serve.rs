@@ -44,6 +44,18 @@
 //! Queries (`report` / `rank` / `diff` / `hash` / `stats`) run against a
 //! point-in-time copy of the aggregate while ingestion continues, and
 //! warm rankings are served from the content-hash [`QueryCache`].
+//!
+//! # Accepting and stopping
+//!
+//! Each listener (TCP, and the unix socket when configured) has one
+//! thread blocked in `accept()`, so a connection is served the moment it
+//! arrives. A stop — the `shutdown` request or [`Handle::shutdown`] —
+//! sets the stop flag and then makes one throwaway connection to each
+//! listener (an unspecified TCP address is reached through loopback).
+//! The accept thread checks the flag after every `accept()` returns, so
+//! it drops that wake connection unserved and exits. [`Handle::wait`]
+//! and [`Handle::shutdown`] resend the wake until every accept thread
+//! has returned, so a lost wake cannot hang a stop.
 
 use crate::analyses::{
     dead_value_metrics, diff_rankings, gc_snapshots, rank_structures_with, ranked_keys,
@@ -60,10 +72,10 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -207,15 +219,67 @@ type TenantMap = HashMap<(String, String), Arc<Mutex<Tenant>>>;
 
 struct State {
     cfg: ServeConfig,
-    stop: AtomicBool,
+    /// The bound TCP address, which the stop wake connects to.
+    addr: SocketAddr,
+    life: Mutex<Lifecycle>,
+    /// Signalled when a stop is requested and when a [`Lifecycle`] count
+    /// reaches zero.
+    life_changed: Condvar,
     programs: Mutex<HashMap<String, Arc<Program>>>,
     tenants: Mutex<TenantMap>,
-    active_sessions: AtomicU64,
     absorbed: AtomicU64,
     rejected: AtomicU64,
 }
 
+/// What [`Handle::join`] waits on, kept under one lock so it can sleep on
+/// [`State::life_changed`] instead of polling.
+#[derive(Default)]
+struct Lifecycle {
+    /// Set once by [`State::request_stop`], never cleared.
+    stop: bool,
+    /// Accept threads that have not returned yet.
+    listeners: u64,
+    /// Connections being served.
+    active_sessions: u64,
+}
+
 impl State {
+    fn life(&self) -> MutexGuard<'_, Lifecycle> {
+        // Every update is one field store, so a poisoned guard still
+        // holds consistent values.
+        self.life.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn stopping(&self) -> bool {
+        self.life().stop
+    }
+
+    /// Sets the stop flag, then wakes the accept threads out of their
+    /// blocking `accept()`.
+    fn request_stop(&self) {
+        self.life().stop = true;
+        self.life_changed.notify_all();
+        self.wake_listeners();
+    }
+
+    /// Makes one throwaway connection to each listener. Errors are
+    /// ignored: [`Handle::join`] resends the wake until the accept
+    /// threads have returned.
+    fn wake_listeners(&self) {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        #[cfg(unix)]
+        if let Some(path) = &self.cfg.unix_socket {
+            let _ = std::os::unix::net::UnixStream::connect(path);
+        }
+    }
+
     fn tenant(&self, tenant: &str, program: &str) -> Arc<Mutex<Tenant>> {
         let mut map = self.tenants.lock().unwrap();
         map.entry((tenant.to_string(), program.to_string()))
@@ -286,10 +350,21 @@ impl State {
     }
 }
 
-/// A running daemon: its bound address plus the join handles needed to
+/// How long one wake connection may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+/// How long [`Handle::join`] waits for the accept threads before it
+/// resends the wake.
+const WAKE_RETRY: Duration = Duration::from_millis(100);
+/// How long [`Handle::join`] waits, after a stop, for the accept threads
+/// and the open sessions together.
+const STOP_CAP: Duration = Duration::from_secs(10);
+/// The pause after a failed `accept()`: errors such as EMFILE persist
+/// until some connection closes, and retrying at once would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// A running daemon: its shared state plus the join handles needed to
 /// stop it. Created by [`Server::start`].
 pub struct Handle {
-    addr: SocketAddr,
     state: Arc<State>,
     threads: Vec<thread::JoinHandle<()>>,
 }
@@ -297,32 +372,65 @@ pub struct Handle {
 impl Handle {
     /// The bound TCP address (with the auto-assigned port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
-    /// Blocks until the daemon is asked to stop (`shutdown` request or
-    /// [`Handle::shutdown`] from another thread via a cloned stopper).
+    /// Blocks until the daemon is asked to stop by a `shutdown` request,
+    /// then joins it as [`Handle::shutdown`] does.
     pub fn wait(self) {
         self.join();
     }
 
-    /// Stops the daemon: no new connections are accepted, in-flight
-    /// sessions are evicted within the socket poll interval, and all
-    /// daemon threads are joined.
+    /// Stops the daemon: sets the stop flag and wakes each accept thread
+    /// out of its blocking `accept()` with one throwaway connection, so no
+    /// new connection is served. In-flight sessions are evicted within
+    /// the socket poll interval. Waits up to 10 s for the accept threads
+    /// and sessions, resending the wake while an accept thread is still
+    /// blocked, then joins the daemon threads. An accept thread that no
+    /// wake reached within those 10 s is left detached.
     pub fn shutdown(self) {
-        self.state.stop.store(true, Ordering::SeqCst);
+        self.state.request_stop();
         self.join();
     }
 
     fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
+        let state = &self.state;
+        let mut life = state
+            .life_changed
+            .wait_while(state.life(), |l| !l.stop)
+            .unwrap_or_else(PoisonError::into_inner);
+        let deadline = Instant::now() + STOP_CAP;
+        // A lost wake would leave an accept thread blocked for good, so
+        // resend it until every accept thread has returned.
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            life = state
+                .life_changed
+                .wait_timeout_while(life, left.min(WAKE_RETRY), |l| l.listeners > 0)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            if life.listeners == 0 || left <= WAKE_RETRY {
+                break;
+            }
+            drop(life);
+            state.wake_listeners();
+            life = state.life();
         }
+        let woken = life.listeners == 0;
         // Sessions notice the stop flag within one read timeout; wait
         // for them so their tenant locks and sockets are released.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.state.active_sessions.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(10));
+        let left = deadline.saturating_duration_since(Instant::now());
+        drop(
+            state
+                .life_changed
+                .wait_timeout_while(life, left, |l| l.active_sessions > 0)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        // Past the cap, an accept thread that never woke is left detached.
+        if woken {
+            for t in self.threads {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -340,15 +448,23 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> io::Result<Handle> {
         fs::create_dir_all(cfg.data_dir.join("tenants"))?;
         let listener = TcpListener::bind(&cfg.listen)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        #[cfg(unix)]
+        let unix_listener = match &cfg.unix_socket {
+            Some(path) => {
+                let _ = fs::remove_file(path);
+                Some(std::os::unix::net::UnixListener::bind(path)?)
+            }
+            None => None,
+        };
 
         let state = Arc::new(State {
             cfg,
-            stop: AtomicBool::new(false),
+            addr,
+            life: Mutex::new(Lifecycle::default()),
+            life_changed: Condvar::new(),
             programs: Mutex::new(HashMap::new()),
             tenants: Mutex::new(HashMap::new()),
-            active_sessions: AtomicU64::new(0),
             absorbed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         });
@@ -368,26 +484,23 @@ impl Server {
 
         let mut threads = Vec::new();
         {
-            let state = state.clone();
-            threads.push(thread::spawn(move || accept_loop(&state, &listener)));
+            let running = CountGuard::new(&state, CountGuard::LISTENERS);
+            threads.push(thread::spawn(move || {
+                accept_loop(running, || listener.accept().map(|(s, _)| Conn::Tcp(s)))
+            }));
         }
         #[cfg(unix)]
-        if let Some(path) = state.cfg.unix_socket.clone() {
-            let _ = fs::remove_file(&path);
-            let listener = std::os::unix::net::UnixListener::bind(&path)?;
-            listener.set_nonblocking(true)?;
-            let state = state.clone();
-            threads.push(thread::spawn(move || unix_accept_loop(&state, &listener)));
+        if let Some(listener) = unix_listener {
+            let running = CountGuard::new(&state, CountGuard::LISTENERS);
+            threads.push(thread::spawn(move || {
+                accept_loop(running, || listener.accept().map(|(s, _)| Conn::Unix(s)))
+            }));
         }
         if state.cfg.spool_dir.is_some() {
             let state = state.clone();
             threads.push(thread::spawn(move || spool_loop(&state)));
         }
-        Ok(Handle {
-            addr,
-            state,
-            threads,
-        })
+        Ok(Handle { state, threads })
     }
 }
 
@@ -430,33 +543,56 @@ fn restore_tenants(state: &Arc<State>) {
     }
 }
 
-fn accept_loop(state: &Arc<State>, listener: &TcpListener) {
-    while !state.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((sock, _)) => {
-                let state = state.clone();
-                thread::spawn(move || handle_conn(&state, Conn::Tcp(sock)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
+/// One unit of a [`Lifecycle`] count, held by an accept thread or an
+/// open connection. Dropping it, also while unwinding, gives the unit
+/// back and wakes [`Handle::join`] when the count reaches zero.
+struct CountGuard {
+    state: Arc<State>,
+    count: fn(&mut Lifecycle) -> &mut u64,
+}
+
+impl CountGuard {
+    const LISTENERS: fn(&mut Lifecycle) -> &mut u64 = |l| &mut l.listeners;
+    const SESSIONS: fn(&mut Lifecycle) -> &mut u64 = |l| &mut l.active_sessions;
+
+    fn new(state: &Arc<State>, count: fn(&mut Lifecycle) -> &mut u64) -> CountGuard {
+        *count(&mut state.life()) += 1;
+        CountGuard {
+            state: state.clone(),
+            count,
         }
     }
 }
 
-#[cfg(unix)]
-fn unix_accept_loop(state: &Arc<State>, listener: &std::os::unix::net::UnixListener) {
-    while !state.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((sock, _)) => {
-                let state = state.clone();
-                thread::spawn(move || handle_conn(&state, Conn::Unix(sock)));
+impl Drop for CountGuard {
+    fn drop(&mut self) {
+        let mut life = self.state.life();
+        let n = (self.count)(&mut life);
+        *n -= 1;
+        if *n == 0 {
+            self.state.life_changed.notify_all();
+        }
+    }
+}
+
+/// Serves each accepted connection on a thread of its own. `accept`
+/// blocks; the stop flag is checked after it returns, so the wake
+/// connection of [`State::request_stop`] is dropped unserved.
+fn accept_loop(running: CountGuard, mut accept: impl FnMut() -> io::Result<Conn>) {
+    let state = &running.state;
+    loop {
+        let accepted = accept();
+        if state.stopping() {
+            return;
+        }
+        match accepted {
+            Ok(conn) => {
+                // Counted here, before the thread exists, so a stop that
+                // follows at once still waits for this connection.
+                let session = CountGuard::new(state, CountGuard::SESSIONS);
+                thread::spawn(move || handle_conn(&session.state, conn));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -522,17 +658,7 @@ impl Write for Conn {
 /// checks run even when a client goes quiet.
 const POLL: Duration = Duration::from_millis(100);
 
-struct SessionGuard<'a>(&'a State);
-
-impl Drop for SessionGuard<'_> {
-    fn drop(&mut self) {
-        self.0.active_sessions.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 fn handle_conn(state: &Arc<State>, mut conn: Conn) {
-    state.active_sessions.fetch_add(1, Ordering::SeqCst);
-    let _guard = SessionGuard(state);
     let _ = conn.set_read_timeout(Some(POLL));
     let (line, leftover) = match read_request_line(state, &mut conn) {
         Ok(v) => v,
@@ -553,16 +679,13 @@ fn handle_conn(state: &Arc<State>, mut conn: Conn) {
                 "ok tenants={} active_sessions={} absorbed={} rejected={}\n",
                 tenants,
                 // This very connection holds one active slot.
-                state
-                    .active_sessions
-                    .load(Ordering::SeqCst)
-                    .saturating_sub(1),
+                state.life().active_sessions.saturating_sub(1),
                 state.absorbed.load(Ordering::SeqCst),
                 state.rejected.load(Ordering::SeqCst),
             )
         }
         ["shutdown"] => {
-            state.stop.store(true, Ordering::SeqCst);
+            state.request_stop();
             "ok shutting down\n".to_string()
         }
         _ => "error unknown request\n".to_string(),
@@ -589,7 +712,7 @@ fn read_request_line(state: &State, conn: &mut Conn) -> Result<(String, Vec<u8>)
         if buf.len() > 4096 {
             return Err("request line too long".to_string());
         }
-        if state.stop.load(Ordering::SeqCst) {
+        if state.stopping() {
             return Err("shutting down".to_string());
         }
         match conn.read(&mut chunk) {
@@ -682,7 +805,7 @@ fn ingest_socket(
                 let mut chunk = vec![0u8; state.cfg.chunk_bytes.max(1)];
                 let mut last_data = Instant::now();
                 loop {
-                    if state.stop.load(Ordering::SeqCst) {
+                    if state.stopping() {
                         end.reason = Some("server shutting down".to_string());
                         return end;
                     }
@@ -759,7 +882,7 @@ fn drain_to_eof(conn: &mut Conn, state: &State) {
     let mut sink = vec![0u8; 16 << 10];
     let mut last_data = Instant::now();
     loop {
-        if state.stop.load(Ordering::SeqCst) {
+        if state.stopping() {
             return;
         }
         match conn.read(&mut sink) {
@@ -898,7 +1021,7 @@ fn persist_live(
 // ---------------------------------------------------------------------------
 
 fn spool_loop(state: &Arc<State>) {
-    while !state.stop.load(Ordering::SeqCst) {
+    while !state.stopping() {
         spool_scan(state);
         thread::sleep(Duration::from_millis(100));
     }

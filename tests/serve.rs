@@ -1,6 +1,7 @@
 //! Session-lifecycle tests for `lowutil serve`: ingest over TCP and
 //! unix sockets, spool-directory pickup, aggregate persistence across
-//! restarts, the `snapshot verify` corruption sweep, and query-cache GC
+//! restarts, request latency and stop wake-up of the blocking accept
+//! threads, the `snapshot verify` corruption sweep, and query-cache GC
 //! through the CLI.
 
 use lowutil::core::{content_hash, replay_cost_graph, Aggregate, CostGraphConfig};
@@ -9,7 +10,8 @@ use lowutil::serve::{push_trace, request, spool_paths, ServeConfig, Server};
 use lowutil::vm::{RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize};
 use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -198,6 +200,115 @@ fn unix_socket_ingestion() {
     assert_eq!(hash_line.trim(), format!("hash {expect:016x} sessions=1"));
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data);
+    let _ = std::fs::remove_file(&sock);
+}
+
+#[cfg(unix)]
+fn unix_request(sock: &Path, line: &str) -> String {
+    let mut s = std::os::unix::net::UnixStream::connect(sock).unwrap();
+    s.write_all(format!("{line}\n").as_bytes()).unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut resp = String::new();
+    s.read_to_string(&mut resp).unwrap();
+    resp
+}
+
+/// Runs `f` on a helper thread; the receiver hears when it returns, so a
+/// stop that hangs fails through `recv_timeout` instead of hanging the
+/// test.
+fn on_helper(f: impl FnOnce() + Send + 'static) -> mpsc::Receiver<()> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    rx
+}
+
+/// The accept threads block in `accept()`, so a request is served the
+/// moment it arrives and 100 sequential requests take milliseconds. The
+/// 1 s bound fails any accept path that waits 10 ms or more per request.
+#[cfg(unix)]
+#[test]
+fn back_to_back_requests_do_not_wait() {
+    let data = tmpdir("b2b-data");
+    let sock = std::env::temp_dir().join(format!("lowutil-b2b-{}.sock", std::process::id()));
+    let cfg = ServeConfig {
+        unix_socket: Some(sock.clone()),
+        ..test_config(data.clone())
+    };
+    let handle = Server::start(cfg).unwrap();
+    let addr = handle.addr().to_string();
+
+    let t = Instant::now();
+    for _ in 0..100 {
+        let resp = request(&addr, "stats").unwrap();
+        assert!(resp.starts_with("ok "), "{resp}");
+    }
+    let tcp = t.elapsed();
+    let t = Instant::now();
+    for _ in 0..100 {
+        let resp = unix_request(&sock, "stats");
+        assert!(resp.starts_with("ok "), "{resp}");
+    }
+    let unix = t.elapsed();
+    handle.shutdown();
+    assert!(
+        tcp < Duration::from_secs(1),
+        "100 TCP requests took {tcp:?}"
+    );
+    assert!(
+        unix < Duration::from_secs(1),
+        "100 unix requests took {unix:?}"
+    );
+    let _ = std::fs::remove_dir_all(&data);
+    let _ = std::fs::remove_file(&sock);
+}
+
+/// A stop wakes every listener: the `shutdown` request ends
+/// [`Handle::wait`], and [`Handle::shutdown`] returns without any
+/// traffic, with a wildcard TCP address, a unix socket and a spool
+/// directory all configured.
+#[cfg(unix)]
+#[test]
+fn stop_wakes_every_listener() {
+    let data = tmpdir("wake-data");
+    let spool = tmpdir("wake-spool");
+    std::fs::create_dir_all(&spool).unwrap();
+    let sock = std::env::temp_dir().join(format!("lowutil-wake-{}.sock", std::process::id()));
+    let cfg = ServeConfig {
+        listen: "0.0.0.0:0".to_string(),
+        unix_socket: Some(sock.clone()),
+        spool_dir: Some(spool.clone()),
+        ..test_config(data.clone())
+    };
+
+    // (a) The `shutdown` request ends `Handle::wait`.
+    let handle = Server::start(cfg.clone()).unwrap();
+    let addr = format!("127.0.0.1:{}", handle.addr().port());
+    let stats = unix_request(&sock, "stats");
+    assert_eq!(
+        stats.trim(),
+        "ok tenants=0 active_sessions=0 absorbed=0 rejected=0"
+    );
+    let waited = on_helper(move || handle.wait());
+    let resp = request(&addr, "shutdown").unwrap();
+    assert!(resp.starts_with("ok "), "{resp}");
+    assert!(
+        waited.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "Handle::wait did not return within 5 s of a shutdown request"
+    );
+
+    // (b) `Handle::shutdown` with no traffic at all.
+    let handle = Server::start(cfg).unwrap();
+    let stopped = on_helper(move || handle.shutdown());
+    assert!(
+        stopped.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "Handle::shutdown did not return within 5 s"
+    );
+
+    let _ = std::fs::remove_dir_all(&data);
+    let _ = std::fs::remove_dir_all(&spool);
     let _ = std::fs::remove_file(&sock);
 }
 
